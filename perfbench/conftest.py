@@ -1,0 +1,10 @@
+"""Put the benchmark's modules and the checkout's sources on the import path."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+for path in (HERE, SRC):
+    if path not in sys.path:
+        sys.path.insert(0, path)
