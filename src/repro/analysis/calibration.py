@@ -10,9 +10,10 @@ Calibration is the expensive input of every system-level sweep — seconds
 of PHY decoding per point, against milliseconds of MAC simulation — and
 sweep points sharing an SNR/MCS need the *same* model. Results therefore
 go through :class:`repro.runtime.cache.ResultCache`: keyed on every
-calibration input plus a fingerprint of the PHY/analysis source code (so
-code changes invalidate stale entries), bypassed with ``cache=False`` or
-``REPRO_NO_CACHE=1``, cleared with :func:`clear_calibration_cache`.
+calibration input plus a fingerprint of the source of every ``repro``
+package this module imports (so code changes invalidate stale entries),
+bypassed with ``cache=False`` or ``REPRO_NO_CACHE=1``, cleared with
+:func:`clear_calibration_cache`.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ __all__ = [
     "clear_calibration_cache",
 ]
 
-# Everything whose behaviour shapes the fitted curves: the PHY chain, the
-# channel, the measurement harness, and this module's own conversion.
-_FINGERPRINT_MODULES = (
-    "repro.analysis.calibration",
-    "repro.analysis.phy_experiments",
-    "repro.channel",
-    "repro.core",
-    "repro.mac.error_model",
-    "repro.phy",
+# Every ``repro`` package that ``import repro.analysis.calibration`` loads
+# (the ``repro.analysis`` package imports the rest of the stack): the fitted
+# curves are only as fresh as all the code that could have shaped them.
+# ``tests/runtime/test_cache_keys.py`` checks this list against the import
+# closure of a fresh interpreter.
+_FINGERPRINT_PACKAGES = (
+    "repro.analysis", "repro.bloom", "repro.channel", "repro.core",
+    "repro.faults", "repro.mac", "repro.net", "repro.obs", "repro.phy",
+    "repro.runtime", "repro.traffic", "repro.util",
 )
 
 _CACHE = ResultCache(namespace="calibration")
@@ -85,7 +86,7 @@ def _calibration_key(mcs_name, payload_bytes, trials, link, coding_gain) -> str:
             "link": repr(link),  # dataclass repr: every field, deterministic
             "coding_gain": coding_gain,
         },
-        fingerprint=code_fingerprint(*_FINGERPRINT_MODULES),
+        fingerprint=code_fingerprint(*_FINGERPRINT_PACKAGES),
     )
 
 

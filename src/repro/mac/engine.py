@@ -3,12 +3,26 @@
 One AP and N STAs share a single collision domain (all nodes within
 carrier-sense range, as in the paper's §7.2.1 setup). The engine advances
 time between three kinds of events — traffic arrivals, backoff expiries and
-busy periods — using standard slot-jumping DCF simulation:
+busy periods — and counts DCF backoff in *virtual time*:
 
-* every backlogged node holds a backoff counter drawn from its CW;
-* the medium stays idle for DIFS + k slots where k is the smallest counter;
-* the node(s) reaching zero transmit; simultaneous zeros collide;
+* one global counter numbers the idle slots the medium has spent in
+  countdown; a contending node's backoff is stored as the absolute slot at
+  which it expires, in a heap with lazy invalidation, so countdown is free
+  and finding the next expiry is O(log N);
+* the medium stays idle for DIFS + k slots where k is the distance to the
+  earliest expiry; the node(s) expiring there transmit, simultaneous
+  expiries collide; an arrival landing mid-countdown advances the counter
+  by the idle slots that fit before it;
 * after any busy period, a fresh DIFS precedes the next countdown.
+
+Who contends: a STA is ready exactly when it is backlogged in every
+protocol, so STAs join on their first arrival and leave after an access
+that empties their queue, with no polling. Only APs are asked for their
+:meth:`~repro.mac.protocols.base.Protocol.ready_time`, once per event (the
+hook where WiFox re-prioritises and fallback Carpool re-promotes). An AP
+that stops being ready while holding a backoff — re-promotion can turn a
+legacy-headed queue back into an aggregation wait — pauses: its residual
+is written back to the node and resumes when it is ready again.
 
 Frame-decoding outcomes come from the pluggable error model (trace-driven
 from this package's PHY); failed subframes are retransmitted with priority,
@@ -17,8 +31,8 @@ frames exceeding the retry limit are dropped.
 
 from __future__ import annotations
 
-import math
 from copy import copy
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -173,6 +187,16 @@ class WlanSimulator:
             for name in station_names
         }
         self.nodes = {**self.aps, **self.stations}
+        # Virtual-time contention state, per node index in ``self.nodes``
+        # order (the order simultaneous expiries are resolved in).
+        self._order = list(self.nodes.values())
+        self._index = {name: i for i, name in enumerate(self.nodes)}
+        self._ap_indices = [self._index[name] for name in self.aps]
+        self._idle_slots = 0
+        self._expiry: list = [None] * len(self._order)
+        self._ready = [False] * len(self._order)
+        self._n_ready = 0
+        self._countdowns: list = []  # heap of (expiry slot, node index)
         self._arrivals = iter(arrivals)
         self._pending_arrival: Arrival | None = None
         self.metrics = MetricsCollector()
@@ -180,11 +204,14 @@ class WlanSimulator:
         self._difs_pending = False
         self._consecutive_failures: dict = {}
         # Hidden-terminal topology: unordered name pairs that cannot carrier-
-        # sense each other. Everyone else shares one collision domain.
-        self._hidden: set = set()
-        for pair in hidden_pairs or ():
-            a, b = pair
-            self._hidden.add(frozenset((a, b)))
+        # sense each other, kept as each node's hidden peers in node order.
+        # Everyone else shares one collision domain.
+        hidden = {frozenset((a, b)) for a, b in hidden_pairs or ()}
+        self._hidden_peers = {
+            name: [other for other in self._order
+                   if other.name != name and frozenset((name, other.name)) in hidden]
+            for name in self.nodes
+        } if hidden else {}
         self._hidden_rng = rng.child("hidden")
         self.hidden_collisions = 0
         # Fault injection: a dedicated child stream, never shared with the
@@ -263,14 +290,14 @@ class WlanSimulator:
         }
         while self.now < duration:
             self._inject_arrivals()
-            ready, wake_time = self._ready_nodes()
-            if not ready:
+            wake_time = self._poll_aps()
+            if not self._n_ready:
                 next_time = self._next_event_time(wake_time)
                 if next_time is None or next_time >= duration:
                     break
                 self.now = max(self.now, next_time)
                 continue
-            self._contend(ready, duration)
+            self._contend()
         return self.metrics.summary(duration)
 
     # ------------------------------------------------------------------ #
@@ -281,10 +308,13 @@ class WlanSimulator:
             if arrival is None or arrival.time > self.now:
                 return
             self._pop_arrival()
-            node = self.nodes.get(arrival.source)
-            if node is None:
+            i = self._index.get(arrival.source)
+            if i is None:
                 raise KeyError(f"arrival for unknown node {arrival.source!r}")
+            node = self._order[i]
             node.enqueue(MacFrame.from_arrival(arrival))
+            if not node.is_ap and not self._ready[i]:
+                self._make_ready(i)
             self.metrics.record_offered()
             self._log("arrival", node.name, f"{arrival.size_bytes} B")
 
@@ -296,31 +326,73 @@ class WlanSimulator:
     def _pop_arrival(self) -> None:
         self._pending_arrival = None
 
-    def _ready_nodes(self):
-        """Nodes allowed to contend now, plus the earliest future wake time."""
-        ready = []
+    def _poll_aps(self):
+        """Ask each AP whether it contends now; return the earliest future
+        wake time among those that do not."""
         wake = None
-        for node in self.nodes.values():
-            t = self.protocol.ready_time(node, self.now)
-            if t is None:
+        ready_time = self.protocol.ready_time
+        for i in self._ap_indices:
+            t = ready_time(self._order[i], self.now)
+            if t is not None and t <= self.now:
+                if not self._ready[i]:
+                    self._make_ready(i)
                 continue
-            if t <= self.now:
-                ready.append(node)
-            else:
+            if self._ready[i]:
+                self._pause(i)
+            if t is not None:
                 wake = t if wake is None else min(wake, t)
-        return ready, wake
+        return wake
 
     def _next_event_time(self, wake_time):
         arrival = self._peek_arrival()
         candidates = [t for t in (wake_time, arrival.time if arrival else None) if t is not None]
         return min(candidates) if candidates else None
 
-    # ------------------------------------------------------------------ #
+    # Virtual-time backoff ----------------------------------------------- #
 
-    def _contend(self, ready: list, duration: float) -> None:
-        for node in ready:
-            node.ensure_backoff()
-        k = min(node.backoff_slots for node in ready)
+    def _make_ready(self, i: int) -> None:
+        """Node ``i`` joins the contention: it resumes its paused residual
+        or draws a fresh backoff, and its expiry enters the heap."""
+        self._ready[i] = True
+        self._n_ready += 1
+        expiry = self._idle_slots + self._order[i].ensure_backoff()
+        self._expiry[i] = expiry
+        heappush(self._countdowns, (expiry, i))
+
+    def _leave(self, i: int) -> None:
+        """Node ``i`` stops contending; its heap entry goes stale."""
+        self._ready[i] = False
+        self._n_ready -= 1
+        self._expiry[i] = None
+
+    def _rejoin(self, i: int) -> None:
+        """After node ``i`` lost its backoff: a backlogged STA draws again at
+        once; an AP waits for the next poll, which lets the protocol adjust
+        its window (WiFox) before the draw."""
+        node = self._order[i]
+        if not node.is_ap and node.backlogged:
+            self._make_ready(i)
+
+    def _pause(self, i: int) -> None:
+        """AP ``i`` is no longer ready mid-countdown: keep its residual."""
+        node = self._order[i]
+        node.consume_slots(node.backoff_slots - (self._expiry[i] - self._idle_slots))
+        self._leave(i)
+
+    def _backoff_lost(self, node: Node) -> None:
+        """``node`` lost its backoff outside its own access (the culprit of
+        a hidden collision)."""
+        i = self._index[node.name]
+        if self._ready[i]:
+            self._leave(i)
+            self._rejoin(i)
+
+    def _contend(self) -> None:
+        expiry, countdowns = self._expiry, self._countdowns
+        while expiry[countdowns[0][1]] != countdowns[0][0]:
+            heappop(countdowns)  # stale: its node paused, won or lost its backoff
+        first = countdowns[0][0]
+        k = first - self._idle_slots
         difs = self.params.difs if self._difs_pending else 0.0
         tx_start = self.now + difs + k * self.params.slot_time
 
@@ -331,21 +403,26 @@ class WlanSimulator:
             idle = arrival.time - self.now - difs
             if idle >= 0:
                 self._difs_pending = False
-                elapsed_slots = min(k, int(idle // self.params.slot_time))
-                for node in ready:
-                    node.consume_slots(elapsed_slots)
+                self._idle_slots += min(k, int(idle // self.params.slot_time))
             self.now = arrival.time
             return
 
-        for node in ready:
-            node.consume_slots(k)
+        self._idle_slots = first
         self.now = tx_start
-        winners = [node for node in ready if node.backoff_slots == 0]
-        if len(winners) > 1:
-            self._collide(winners)
+        winners = []
+        while countdowns and countdowns[0][0] == first:
+            _, i = heappop(countdowns)
+            if expiry[i] == first:
+                self._leave(i)
+                winners.append(i)
+        nodes = [self._order[i] for i in winners]
+        if len(nodes) > 1:
+            self._collide(nodes)
         else:
-            self._transmit(winners[0])
+            self._transmit(nodes[0])
         self._difs_pending = True
+        for i in winners:
+            self._rejoin(i)
 
     # ------------------------------------------------------------------ #
 
@@ -378,14 +455,9 @@ class WlanSimulator:
             node.queue.extend(saved_queue)
 
     def _hidden_interferers(self, node: Node) -> list:
-        if not self._hidden:
+        if not self._hidden_peers:
             return []
-        return [
-            other for other in self.nodes.values()
-            if other is not node
-            and other.backlogged
-            and frozenset((node.name, other.name)) in self._hidden
-        ]
+        return [other for other in self._hidden_peers[node.name] if other.backlogged]
 
     def _hidden_hit(self, interferers: list, vulnerable: float) -> Node | None:
         """Does a hidden node start transmitting inside the window?
@@ -434,6 +506,7 @@ class WlanSimulator:
                     self.metrics.record_collision(busy)
                     node.on_collision()
                     culprit.on_collision()
+                    self._backoff_lost(culprit)
                     self._requeue_transmission(node, transmission)
                     self.now += busy
                     return
@@ -450,6 +523,7 @@ class WlanSimulator:
                     self._requeue_transmission(node, transmission, count_retry=True)
                     node.on_collision()
                     culprit.on_collision()
+                    self._backoff_lost(culprit)
                     self.now += total
                     return
 
@@ -692,13 +766,3 @@ class WlanSimulator:
     def station_names(self) -> list:
         """Names of all non-AP nodes."""
         return list(self.stations)
-
-
-def ack_sequence_time(num_receivers: int, params: PhyMacParameters) -> float:
-    """Total sequential-ACK tail for ``num_receivers`` (helper for tests)."""
-    return num_receivers * (params.sifs + ack_airtime(params))
-
-
-def estimate_slot_count(duration: float, params: PhyMacParameters) -> int:
-    """How many idle slots fit in ``duration`` (helper for tests)."""
-    return int(math.floor(duration / params.slot_time))

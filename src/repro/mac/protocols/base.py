@@ -100,6 +100,11 @@ class Protocol(ABC):
 
         Default: contend as soon as anything is queued. Aggregating
         protocols may override to wait for the aggregation deadline.
+
+        The engine polls this for access points only, once per event. A
+        non-AP node contends exactly while it is backlogged, so an override
+        must keep returning ``now`` for a backlogged STA and None for an
+        empty one (``tests/mac/test_node_protocols.py`` checks every protocol).
         """
         return now if node.backlogged else None
 

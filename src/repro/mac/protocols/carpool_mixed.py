@@ -35,8 +35,7 @@ class CarpoolMixedProtocol(CarpoolProtocol):
         return destination in self.carpool_stations
 
     def _oldest_is_legacy(self, node: Node) -> bool:
-        oldest = min(node.queue, key=lambda f: (not f.delay_sensitive, f.arrival_time))
-        return not self.is_carpool(oldest.destination)
+        return not self.is_carpool(node.priority_head().destination)
 
     def ready_time(self, node: Node, now: float):
         """Legacy-headed queues contend immediately; Carpool backlogs may wait."""
@@ -54,9 +53,7 @@ class CarpoolMixedProtocol(CarpoolProtocol):
             return self.build_uplink(node, now)
         if self._oldest_is_legacy(node):
             # Pop the oldest legacy frame specifically, then ship it alone.
-            oldest = min(
-                node.queue, key=lambda f: (not f.delay_sensitive, f.arrival_time)
-            )
+            oldest = node.priority_head()
             node.queue.remove(oldest)
             node.queue.appendleft(oldest)
             return self.build_single(node)

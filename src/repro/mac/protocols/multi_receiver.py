@@ -95,7 +95,7 @@ class MultiReceiverProtocol(Protocol):
             return now
         if node.pending_bytes >= self.limits.max_frame_bytes:
             return now
-        if len({f.destination for f in node.queue}) >= self.limits.max_receivers:
+        if node.destination_count >= self.limits.max_receivers:
             return now
         deadline = node.oldest_arrival() + self.limits.max_latency
         return max(now, deadline) if deadline > now else now

@@ -25,9 +25,11 @@ the ``repro net`` CLI drive. It composes the rest of the package:
 4–5 for large deployments: the parent never materialises the spec list —
 workers regenerate their own shard of specs per chunk from the config
 (``trial_source=``, with the expensive decomposition memoized per worker
-process) — and never collects per-cell results: each worker folds its
-chunk into a :class:`~repro.net.aggregate.DeploymentAggregate` before
-IPC (``reduce_fn=``), so only small accumulators cross the pipe. Because
+process; the parent builds only the association timeline and coupling
+plans, never the traffic) — and never collects per-cell results: each
+worker folds its chunk into a
+:class:`~repro.net.aggregate.DeploymentAggregate` before IPC
+(``reduce_fn=``), so only small accumulators cross the pipe. Because
 the aggregate is exactly associative, a sharded run is bit-identical to
 the unsharded path in every deployment-level number; what it gives up is
 the per-cell breakdown (``result.cells`` is empty).
@@ -83,6 +85,16 @@ __all__ = [
 ]
 
 _MAX_FRAME_BYTES = 65535
+
+#: Every ``repro`` package that ``import repro.net.deployment`` loads. A
+#: cached result is only as fresh as all the code that could have shaped
+#: it; ``tests/runtime/test_cache_keys.py`` checks this list against the
+#: import closure of a fresh interpreter.
+_FINGERPRINT_PACKAGES = (
+    "repro.bloom", "repro.channel", "repro.core", "repro.faults", "repro.mac",
+    "repro.net", "repro.obs", "repro.phy", "repro.runtime", "repro.traffic",
+    "repro.util",
+)
 
 
 def cell_seed(root_seed: int, ap_index: int) -> int:
@@ -488,24 +500,35 @@ def _build_roaming_cell_arrivals(config: DeploymentConfig, timeline) -> dict:
 
 
 @dataclass
-class _DeploymentPlan:
-    """The expensive, cell-independent decomposition of a config.
+class _DeploymentLayout:
+    """Topology → associations → coupling plans, with no traffic.
 
-    Everything :func:`_make_cell_spec` needs to mint any single cell's
-    spec: built once per process (parent, or each worker in sharded mode)
-    and reused for every cell of the deployment.
+    All a sharded parent reads (the timeline for statistics and handoff
+    events, the coupling plans for fault counts); :func:`_deployment_plan`
+    builds the full plan on top of it.
     """
 
     timeline: object
     members: dict
     plans: dict
-    cell_arrivals: dict
-    mixed: bool
     ap_order: tuple
 
 
-def _deployment_plan(config: DeploymentConfig) -> _DeploymentPlan:
-    """Topology → associations → coupling plans → routed arrivals."""
+@dataclass
+class _DeploymentPlan(_DeploymentLayout):
+    """The expensive, cell-independent decomposition of a config.
+
+    Everything :func:`_make_cell_spec` needs to mint any single cell's
+    spec: built once per process (the parent, or in sharded mode each
+    worker) and reused for every cell of the deployment.
+    """
+
+    cell_arrivals: dict
+    mixed: bool
+
+
+def _deployment_layout(config: DeploymentConfig) -> _DeploymentLayout:
+    """Build the layout: no traffic is generated."""
     topology = build_topology(
         config.n_aps, config.n_stas, config.seed,
         arena=config.arena,
@@ -539,18 +562,25 @@ def _deployment_plan(config: DeploymentConfig) -> _DeploymentPlan:
     else:
         plans = {ap.index: None for ap in topology.aps}
 
-    mixed = config.legacy_fraction > 0.0 and config.protocol == "Carpool"
-    cell_arrivals = (
-        {} if not config.mobility
-        else _build_roaming_cell_arrivals(config, timeline)
-    )
-    return _DeploymentPlan(
+    return _DeploymentLayout(
         timeline=timeline,
         members=members,
         plans=plans,
-        cell_arrivals=cell_arrivals,
-        mixed=mixed,
         ap_order=tuple(ap.index for ap in topology.aps),
+    )
+
+
+def _deployment_plan(config: DeploymentConfig) -> _DeploymentPlan:
+    """The layout plus, for roaming deployments, the routed arrivals."""
+    layout = _deployment_layout(config)
+    return _DeploymentPlan(
+        timeline=layout.timeline,
+        members=layout.members,
+        plans=layout.plans,
+        ap_order=layout.ap_order,
+        cell_arrivals=(_build_roaming_cell_arrivals(config, layout.timeline)
+                       if config.mobility else {}),
+        mixed=config.legacy_fraction > 0.0 and config.protocol == "Carpool",
     )
 
 
@@ -745,10 +775,11 @@ def simulate_deployment(
 
     Results are cached under the ``deployment`` namespace, keyed by the
     full config payload and a fingerprint of every package that shapes
-    the outcome — editing the MAC, traffic, fault, or net code invalidates
-    stale entries automatically. Sharded results cache under a distinct
-    key: the two paths return differently-shaped results (with and
-    without ``cells``), so neither may satisfy the other's lookup.
+    the outcome — every ``repro`` package this module imports, so editing
+    any code a cell runs invalidates stale entries automatically. Sharded
+    results cache under a distinct key: the two paths return
+    differently-shaped results (with and without ``cells``), so neither
+    may satisfy the other's lookup.
     ``use_cache=False`` forces a recompute (the fresh result is still
     stored).
 
@@ -776,8 +807,7 @@ def simulate_deployment(
         key_payload = dict(key_payload, result_shape="aggregate-only")
     key = content_key(
         "deployment", key_payload,
-        code_fingerprint("repro.net", "repro.mac", "repro.traffic",
-                         "repro.faults"),
+        code_fingerprint(*_FINGERPRINT_PACKAGES),
     )
     cache = cache or ResultCache(namespace="deployment")
     if use_cache:
@@ -794,10 +824,10 @@ def simulate_deployment(
         seed = derive_seed(config.seed, "net-cells")
         if streaming:
             with metrics().timer("net.build_specs").time():
-                # The parent builds the plan once too — for timeline
-                # statistics and handoff events — but never the spec list.
-                plan = _deployment_plan(config)
-            _emit_handoffs(config, plan.timeline)
+                # The parent needs only the timeline (statistics, handoff
+                # events) and the coupling plans: no spec list, no traffic.
+                layout = _deployment_layout(config)
+            _emit_handoffs(config, layout.timeline)
             with metrics().timer("net.run_cells").time():
                 agg = run_trials(
                     _cell_trial_sharded, config.n_aps,
@@ -809,7 +839,7 @@ def simulate_deployment(
                     reduce_init=aggregate_factory(config.mobility),
                 )
             with metrics().timer("net.aggregate").time():
-                result = _finalize(config, agg, plan.timeline, plan.plans, [])
+                result = _finalize(config, agg, layout.timeline, layout.plans, [])
         else:
             with metrics().timer("net.build_specs").time():
                 specs, timeline, plans = build_cell_specs(config)

@@ -18,16 +18,22 @@ __all__ = ["background_uplink_arrivals", "trace_mixed_arrivals"]
 
 def _poisson_flow(source: str, destination: str, direction: str, duration: float,
                   mean_interarrival: float, model: TraceModel, rng: RngStream) -> list:
-    arrivals = []
-    t = float(rng.exponential(mean_interarrival))
+    # Scalar draws in stream order (gap, size probability, gap, ...), as
+    # sampling one frame size at a time would take them; the sizes are
+    # then mapped in one vectorised pass.
+    gen = rng.generator
+    times, quantiles = [], []
+    t = float(gen.exponential(mean_interarrival))
     while t < duration:
-        size = int(sample_frame_sizes(model, 1, rng)[0])
-        arrivals.append(
-            Arrival(time=t, source=source, destination=destination,
-                    size_bytes=size, delay_sensitive=False, direction=direction)
-        )
-        t += float(rng.exponential(mean_interarrival))
-    return arrivals
+        times.append(t)
+        quantiles.append(gen.uniform(0.0, 1.0))
+        t += float(gen.exponential(mean_interarrival))
+    sizes = model.frame_sizes(quantiles).tolist()
+    return [
+        Arrival(time=t, source=source, destination=destination,
+                size_bytes=size, delay_sensitive=False, direction=direction)
+        for t, size in zip(times, sizes)
+    ]
 
 
 def background_uplink_arrivals(station_names: list, duration: float, rng: RngStream,

@@ -59,6 +59,10 @@ class TraceModel:
         probs = np.array([p for _, p in self.size_points], dtype=float)
         return np.interp(u, probs, sizes)
 
+    def frame_sizes(self, u) -> np.ndarray:
+        """Whole-byte frame sizes (at least 1) at probabilities ``u``."""
+        return np.maximum(np.round(self.quantile(u)), 1).astype(int)
+
     def cdf(self, size):
         """Fraction of frames not larger than ``size`` (vectorised)."""
         sizes = np.array([s for s, _ in self.size_points], dtype=float)
@@ -96,8 +100,7 @@ def sample_frame_sizes(model: TraceModel, count: int, rng: RngStream) -> np.ndar
     """Draw ``count`` frame sizes (bytes) from the model's CDF."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    u = rng.uniform(0.0, 1.0, size=count)
-    return np.maximum(np.round(model.quantile(u)), 1).astype(int)
+    return model.frame_sizes(rng.uniform(0.0, 1.0, size=count))
 
 
 def active_sta_timeseries(duration_s: int, rng: RngStream, num_stations: int = 20,

@@ -12,6 +12,7 @@ from repro.mac.protocols import (
     PROTOCOLS,
     WifoxProtocol,
 )
+from repro.mac.protocols.carpool_mixed import CarpoolMixedProtocol
 from repro.util.rng import RngStream
 
 
@@ -286,3 +287,21 @@ class TestRegistry:
             "802.11", "A-MPDU", "A-MSDU", "MU-Aggregation", "WiFox", "Carpool",
             "Carpool-fallback",
         }
+
+
+class TestStaReadiness:
+    """The engine never polls STAs: a STA contends exactly while backlogged,
+    so every protocol's ready_time must say the same."""
+
+    @pytest.mark.parametrize("protocol_cls", [
+        *PROTOCOLS.values(), CarpoolMixedProtocol,
+    ], ids=lambda cls: cls.name if cls is not CarpoolMixedProtocol else "Carpool-mixed")
+    def test_sta_ready_exactly_while_backlogged(self, protocol_cls):
+        proto = protocol_cls(DEFAULT_PARAMETERS)
+        sta = _node("sta0", is_ap=False)
+        assert proto.ready_time(sta, 0.0) is None
+        for i, now in enumerate((0.0, 1e-4, 0.5)):
+            sta.enqueue(_frame("ap", t=now / 2, sensitive=bool(i % 2)))
+            assert proto.ready_time(sta, now) == now
+        sta.queue.clear()
+        assert proto.ready_time(sta, 1.0) is None

@@ -143,6 +143,27 @@ class TestBackground:
         with pytest.raises(ValueError):
             background_uplink_arrivals(["sta0"], 1.0, RngStream(0), intensity=0.0)
 
+    @pytest.mark.parametrize("model", [SIGCOMM04, SIGCOMM08, LIBRARY])
+    def test_flow_matches_per_frame_sampling(self, model):
+        """Mapping a flow's sizes in one vectorised pass draws and rounds
+        exactly as sampling each frame on its own did."""
+        from repro.traffic.background import _poisson_flow
+
+        for seed in range(20):
+            rng = RngStream(seed).child("flow")
+            expected = []
+            t = float(rng.exponential(0.004))
+            while t < 2.0:
+                size = int(sample_frame_sizes(model, 1, rng)[0])
+                expected.append((t, size))
+                t += float(rng.exponential(0.004))
+            flow = _poisson_flow("sta0", "ap", Direction.UPLINK, 2.0, 0.004,
+                                 model, RngStream(seed).child("flow"))
+            assert [(a.time, a.size_bytes) for a in flow] == expected
+            assert all(type(a.size_bytes) is int for a in flow)
+        assert _poisson_flow("sta0", "ap", Direction.UPLINK, 1e-9, 10.0,
+                             model, RngStream(0)) == []
+
 
 class TestFlows:
     def test_cbr_rate(self):
