@@ -446,14 +446,10 @@ def _print_phy_bench(payload) -> None:
 
 
 def _print_mac_bench(payload) -> None:
-    eng, sweep, pool = payload["engine"], payload["sweep"], payload["trials_pool"]
-    print(f"engine     : batched x{eng['speedup_batched']:.2f} vs scalar "
-          f"({eng['stations']} stations, {eng['runs']} runs; "
-          f"identical={eng['identical_metrics']})")
-    print(f"sweep      : batched+cached x{sweep['speedup']:.1f} vs "
-          f"scalar+uncached ({sweep['points']} points, "
-          f"{sweep['batched_cached_seconds']:.2f}s vs "
-          f"{sweep['scalar_uncached_seconds']:.2f}s; "
+    sweep, pool = payload["sweep"], payload["trials_pool"]
+    print(f"sweep      : cached x{sweep['speedup']:.1f} vs uncached "
+          f"({sweep['points']} points, {sweep['cached_seconds']:.2f}s vs "
+          f"{sweep['uncached_seconds']:.2f}s; "
           f"identical={sweep['identical_results']})")
     print(f"trials pool: {pool['serial_trials_per_s']:8.2f} trials/s serial, "
           f"{pool['parallel_trials_per_s']:.2f} trials/s "

@@ -4,17 +4,13 @@ The paper's headline results (Figs. 10–14) are sweeps over exactly these
 axes — receiver count, payload size, loss regime — each point a
 Monte-Carlo average of full CSMA/CA simulations driven by a trace-driven
 error model. This module is the fast path those sweeps run on, combining
-the three layers the rest of this package provides:
+two layers the rest of this package provides:
 
 * **calibration caching** — every point calls
   :func:`~repro.analysis.calibration.calibrate_error_model`, exactly as a
   real sweep whose points may differ in SNR/MCS must; points sharing a
   configuration hit the :mod:`repro.runtime.cache` instead of re-running
   the PHY chain (``cache=False`` reproduces the old cost).
-* **batched simulation** — trials run the engine's vectorised
-  :meth:`~repro.mac.engine.WlanSimulator.simulate_batch` draw path
-  (``batched=False`` keeps the scalar parity oracle). Metrics are
-  bit-identical either way at equal seeds.
 * **persistent parallel trials** — the whole receivers×payload grid
   flattens into *one* :func:`repro.runtime.run_trials` call with
   ``granularity=config.trials``: each chunk carries whole cells (tiles)
@@ -23,8 +19,8 @@ the three layers the rest of this package provides:
   per-cell seeds are derived exactly as the old cell-at-a-time fan-out
   derived them, so flattening changes wall time only, never results.
 
-``repro.runtime.bench.run_mac_bench`` times this sweep both ways
-(batched+cached vs scalar+uncached) and asserts the results agree.
+``repro.runtime.bench.run_mac_bench`` times this sweep cached vs
+uncached and asserts the results agree.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ class SweepConfig:
     mcs_name: str = "QAM64-3/4"
     calibration_payload: int = 1000
     calibration_trials: int = 4
-    batched: bool = True
     cache: bool = True
 
 
@@ -82,7 +77,7 @@ def _sweep_trial(trial_index, rng, num_receivers, payload_bytes, config, error_m
 
     Module-level (pickles into pool workers). The seed comes from the
     trial's own RNG, so results are identical for any worker count or
-    chunking, and paired across batched/scalar legs.
+    chunking, and paired across cached/uncached legs.
     """
     from repro.mac import PROTOCOLS
     from repro.mac.scenarios import CbrScenario
@@ -95,7 +90,6 @@ def _sweep_trial(trial_index, rng, num_receivers, payload_bytes, config, error_m
         frame_bytes=payload_bytes,
         with_background=False,
         error_model=error_model,
-        batched=config.batched,
     )
     result = scenario.run(PROTOCOLS[config.protocol])
     return (

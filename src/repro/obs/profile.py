@@ -19,6 +19,12 @@ and metrics registry already play:
   module flag: an inner capture under an active profiler records its
   wall/CPU stage timing but skips function stats (the outer profiler is
   already attributing them).
+* A parent blocked on its workers is idle, not busy: :func:`profile_paused`
+  switches the live profiler off around the wait and books the waited
+  seconds as a stage instead, so the wait cannot show up as a lock
+  ``acquire`` row charged to layer ``other`` on top of the workers' own
+  rows (which would make the per-layer profile sum to more than the run's
+  wall time).
 
 Profiles are strictly **wall-domain**: they land in the run manifest's
 ``profile`` section and the CLI renders them, but they never touch
@@ -32,6 +38,7 @@ import cProfile
 import os
 import pstats
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 __all__ = [
@@ -43,6 +50,7 @@ __all__ = [
     "profiling_enabled",
     "profile_collector",
     "profile_capture",
+    "profile_paused",
     "function_layer",
 ]
 
@@ -186,6 +194,8 @@ _COLLECTOR: Optional[ProfileCollector] = None
 #: and a forked child that inherited a stale flag must not be locked out,
 #: hence the pid comparison rather than a plain boolean.
 _PROFILER_OWNER: Optional[int] = None
+#: The owner's live profiler, so a wait can pause it (:func:`profile_paused`).
+_LIVE_PROFILER: Optional[cProfile.Profile] = None
 
 
 def _profiler_active() -> bool:
@@ -233,10 +243,10 @@ class StageCapture:
         self._t_cpu = 0.0
 
     def start(self) -> "StageCapture":
-        global _PROFILER_OWNER
+        global _PROFILER_OWNER, _LIVE_PROFILER
         self._running = True
         if not _profiler_active():
-            self._profiler = cProfile.Profile()
+            self._profiler = _LIVE_PROFILER = cProfile.Profile()
             _PROFILER_OWNER = os.getpid()
             self._profiler.enable()
         self._t_wall = time.perf_counter()
@@ -244,7 +254,7 @@ class StageCapture:
         return self
 
     def stop(self) -> None:
-        global _PROFILER_OWNER
+        global _PROFILER_OWNER, _LIVE_PROFILER
         if not self._running:
             return
         self._running = False
@@ -252,7 +262,7 @@ class StageCapture:
         cpu = time.process_time() - self._t_cpu
         if self._profiler is not None:
             self._profiler.disable()
-            _PROFILER_OWNER = None
+            _PROFILER_OWNER = _LIVE_PROFILER = None
             self._collector.record_profile(self._profiler)
             self._profiler = None
         self._collector.record_stage(self._stage, wall, cpu)
@@ -295,3 +305,34 @@ def profile_capture(stage: str):
     if collector is None:
         return _NULL_CAPTURE
     return StageCapture(collector, stage)
+
+
+@contextmanager
+def _paused_stage(collector: ProfileCollector, stage: str):
+    profiler = _LIVE_PROFILER if _profiler_active() else None
+    if profiler is not None:
+        profiler.disable()
+    t_wall, t_cpu = time.perf_counter(), time.process_time()
+    try:
+        yield
+    finally:
+        collector.record_stage(stage, time.perf_counter() - t_wall,
+                               time.process_time() - t_cpu)
+        if profiler is not None:
+            profiler.enable()
+
+
+def profile_paused(stage: str):
+    """Pause this process's live profiler while it blocks on other work.
+
+    Wrap a wait on worker results in it: the waited seconds are recorded
+    as ``stage`` instead of as time in whatever lock primitive the wait
+    sits in. With no live profiler in this process only the stage is
+    recorded; with profiling disabled it is the shared no-op. cProfile
+    closes the frames open at the pause, so they stop accruing time
+    there; calls made after the wait are profiled as usual.
+    """
+    collector = _COLLECTOR
+    if collector is None:
+        return _NULL_CAPTURE
+    return _paused_stage(collector, stage)

@@ -3,9 +3,9 @@
 Times the hot loops this reproduction depends on. The **phy** suite covers
 convolutional encoding, Viterbi decoding, the full receive chain, and the
 Monte-Carlo trial runner serial vs parallel; the **mac** suite covers the
-sweep engine this repo's system-level results run on — scalar vs batched
-simulation, the receivers×payload goodput sweep batched+cached vs scalar
-uncached, and trial-runner scaling on the persistent pools. Run via::
+sweep engine this repo's system-level results run on — the
+receivers×payload goodput sweep cached vs uncached, and trial-runner
+scaling on the persistent pools. Run via::
 
     python -m repro bench --suite phy --out BENCH_phy.json
     python -m repro bench --suite mac --out BENCH_mac.json
@@ -68,7 +68,10 @@ __all__ = [
 # overhead factor — and the ``resume`` section gains an
 # ``identical_telemetry`` gate: the deterministic telemetry view must be
 # byte-identical across kill/resume at different worker/shard counts.
-SCHEMA_VERSION = 6
+# v7: the MAC engine has one subframe-draw path, so the mac suite drops
+# its ``engine`` section (scalar vs batched draws) and the ``sweep`` keys
+# become ``uncached_seconds`` / ``cached_seconds``.
+SCHEMA_VERSION = 7
 
 # Suite -> section -> keys every BENCH_*.json must carry (the schema family).
 _REQUIRED_KEYS = {
@@ -96,14 +99,10 @@ _REQUIRED_KEYS = {
             "schema_version", "suite", "python", "numpy", "platform",
             "smoke", "n_workers",
         ),
-        "engine": (
-            "stations", "duration", "runs", "scalar_seconds",
-            "batched_seconds", "speedup_batched", "identical_metrics",
-        ),
         "sweep": (
             "receivers", "payloads", "points", "trials",
-            "scalar_uncached_seconds", "batched_cached_seconds",
-            "speedup", "identical_results",
+            "uncached_seconds", "cached_seconds", "speedup",
+            "identical_results",
         ),
         "trials_pool": (
             "trials", "stations", "payload_bytes", "probes_per_tile",
@@ -167,7 +166,6 @@ _TRUE_GATES = {
         ("monte_carlo", "identical_serial_parallel"),
     ),
     "mac": (
-        ("engine", "identical_metrics"),
         ("sweep", "identical_results"),
         ("trials_pool", "identical_serial_parallel"),
     ),
@@ -482,7 +480,7 @@ def _mac_sim(rng, stations, duration):
 
     scenario = VoipScenario(
         num_stations=stations, duration=duration,
-        seed=int(rng.integers(0, 2**31 - 1)), batched=True,
+        seed=int(rng.integers(0, 2**31 - 1)),
     )
     result = scenario.run(PROTOCOLS["Carpool"])
     return result.measured_ap_goodput_bps
@@ -534,49 +532,19 @@ def _mac_tile_batch(start, rngs, link, mcs, crc_config, probes,
     ]
 
 
-def _bench_engine(stations: int, duration: float, runs: int) -> dict:
-    """Scalar oracle vs batched draw path on identical scenarios."""
-    from repro.mac import PROTOCOLS
-    from repro.mac.scenarios import VoipScenario
-
-    def leg(batched: bool):
-        results = []
-        start = time.perf_counter()
-        for index in range(runs):
-            scenario = VoipScenario(
-                num_stations=stations, duration=duration,
-                seed=1000 + index, batched=batched,
-            )
-            results.append(scenario.run(PROTOCOLS["Carpool"]))
-        return time.perf_counter() - start, results
-
-    leg(True)  # warm caches (probability memos, import cost) for both legs
-    scalar_s, scalar_results = leg(False)
-    batched_s, batched_results = leg(True)
-    return {
-        "stations": stations,
-        "duration": duration,
-        "runs": runs,
-        "scalar_seconds": scalar_s,
-        "batched_seconds": batched_s,
-        "speedup_batched": scalar_s / batched_s,
-        "identical_metrics": scalar_results == batched_results,
-    }
-
-
 def _bench_sweep(receivers: tuple, payloads: tuple, trials: int,
                  duration: float, calibration_payload: int,
                  calibration_trials: int) -> dict:
-    """The headline number: batched+cached vs scalar+uncached at equal seeds."""
+    """The headline number: cached vs uncached calibration at equal seeds."""
     from repro.analysis.calibration import clear_calibration_cache
     from repro.mac.sweep import SweepConfig, goodput_airtime_sweep
 
     fast_config = SweepConfig(
         receiver_counts=receivers, payload_bytes=payloads, trials=trials,
         duration=duration, calibration_payload=calibration_payload,
-        calibration_trials=calibration_trials, batched=True, cache=True,
+        calibration_trials=calibration_trials, cache=True,
     )
-    slow_config = replace(fast_config, batched=False, cache=False)
+    slow_config = replace(fast_config, cache=False)
 
     clear_calibration_cache()
     start = time.perf_counter()
@@ -596,8 +564,8 @@ def _bench_sweep(receivers: tuple, payloads: tuple, trials: int,
         "payloads": list(payloads),
         "points": len(receivers) * len(payloads),
         "trials": trials,
-        "scalar_uncached_seconds": slow_s,
-        "batched_cached_seconds": fast_s,
+        "uncached_seconds": slow_s,
+        "cached_seconds": fast_s,
         "speedup": slow_s / fast_s,
         "identical_results": identical,
     }
@@ -685,13 +653,12 @@ def run_mac_bench(
     """Run the MAC/sweep timing suite; optionally write JSON to ``out_path``.
 
     The ``sweep`` section is the acceptance benchmark: the receivers ×
-    payload goodput sweep, batched+cached vs scalar+uncached at equal
-    seeds (the uncached leg re-runs the PHY calibration per point, which
-    is what real sweeps did before the cache existed).
+    payload goodput sweep, cached vs uncached at equal seeds (the
+    uncached leg re-runs the PHY calibration per point, which is what
+    real sweeps did before the cache existed).
     """
     with collecting() as registry:
         if smoke:
-            engine = _bench_engine(stations=4, duration=0.4, runs=2)
             sweep = _bench_sweep(
                 receivers=(2, 4), payloads=(256, 1024), trials=1, duration=0.2,
                 calibration_payload=500, calibration_trials=2,
@@ -701,7 +668,6 @@ def run_mac_bench(
                 probes=2, n_workers=n_workers, smoke=True,
             )
         else:
-            engine = _bench_engine(stations=10, duration=2.0, runs=3)
             sweep = _bench_sweep(
                 receivers=(2, 4, 6, 8), payloads=(256, 1024, 2048, 4095),
                 trials=2, duration=0.4,
@@ -714,7 +680,6 @@ def run_mac_bench(
 
     payload = {
         "meta": _meta("mac", smoke, n_workers),
-        "engine": engine,
         "sweep": sweep,
         "trials_pool": pool,
         "observability": _observability_section(registry),
@@ -1208,8 +1173,8 @@ def validate_bench(payload: dict) -> dict:
     """Check a BENCH document against its suite's schema; raise on failure.
 
     Structural check (sections and keys) plus the suite's correctness
-    gates — bit-exact decoding, serial/parallel determinism, batched/
-    scalar metric identity. Documents without ``meta.suite`` validate as
+    gates — bit-exact decoding, serial/parallel determinism, cached/
+    uncached sweep identity. Documents without ``meta.suite`` validate as
     the phy suite (the pre-``suite`` schema).
     """
     problems = []

@@ -17,8 +17,7 @@ shared runtime those sweeps go through:
   and a *content fingerprint* of the shared payload
   (:func:`repro.runtime.cache.stable_digest`): an equal re-created
   payload maps back onto the warm pool, distinct payloads can never
-  alias one. ``reuse_pool=False`` restores the old per-call pools;
-  :func:`shutdown_pools` tears everything down.
+  alias one. :func:`shutdown_pools` tears everything down.
 * **Zero-copy shared tables** — pass ``shared=...`` to ship one payload
   to every worker; numpy-array payloads travel through one
   ``multiprocessing.shared_memory`` segment (:mod:`repro.runtime.shm`)
@@ -81,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.log import get_logger
-from ..obs.profile import profile_capture
+from ..obs.profile import profile_capture, profile_paused
 from ..obs.trace import (
     active_recorder,
     chunk_capture,
@@ -643,17 +642,20 @@ def _consume_futures(futures, spans, reduce_fn, reduce_init, merge_fn):
     the parent trace in trial order, and — although associative
     accumulators make any merge order *result*-identical — a fixed order
     keeps the engine deterministic by construction rather than by proof.
+    Each wait is a ``trials.wait`` profile stage, not profiled lock time.
     """
     if reduce_fn is None:
         results: list = []
         for future in futures:
-            raw = future.result()
+            with profile_paused("trials.wait"):
+                raw = future.result()
             _count_ipc_result(raw)
             results.extend(ingest_chunk(raw))
         return results
     acc = None
     for span, future in zip(spans, futures):
-        raw = future.result()
+        with profile_paused("trials.wait"):
+            raw = future.result()
         _count_ipc_result(raw)
         acc = _fold_chunk(acc, ingest_chunk(raw), span, reduce_fn,
                           reduce_init, merge_fn)
@@ -826,7 +828,6 @@ def run_trials(
     chunk_timeout: float | None = None,
     max_chunk_retries: int = 2,
     salvage: bool = False,
-    reuse_pool: bool = True,
     shared=None,
     batch_fn=None,
     granularity: int = 1,
@@ -859,10 +860,6 @@ def run_trials(
             changes nothing statistically).
         salvage: Return a :class:`TrialRunResult` carrying partial results
             and a failure report instead of raising when chunks are lost.
-        reuse_pool: Keep the worker pool alive for the next call (fast
-            path only; the hardened path always uses disposable pools it
-            can abandon). Chunking never affects results, so reuse is
-            invisible except in wall time.
         shared: Optional read-only payload shipped to each worker once;
             numpy arrays inside travel through a shared-memory segment
             and come back as zero-copy read-only views
@@ -915,7 +912,7 @@ def run_trials(
             fn, n_trials, seed=seed, n_workers=n_workers,
             chunk_size=chunk_size, args=args, chunk_timeout=chunk_timeout,
             max_chunk_retries=max_chunk_retries, salvage=salvage,
-            reuse_pool=reuse_pool, shared=shared, batch_fn=batch_fn,
+            shared=shared, batch_fn=batch_fn,
             granularity=granularity, reduce_fn=reduce_fn,
             reduce_init=reduce_init, merge_fn=merge_fn,
             trial_source=trial_source,
@@ -923,8 +920,8 @@ def run_trials(
 
 
 def _run_trials_impl(fn, n_trials, *, seed, n_workers, chunk_size, args,
-                     chunk_timeout, max_chunk_retries, salvage, reuse_pool,
-                     shared, batch_fn, granularity, reduce_fn=None,
+                     chunk_timeout, max_chunk_retries, salvage, shared,
+                     batch_fn, granularity, reduce_fn=None,
                      reduce_init=None, merge_fn=None, trial_source=None):
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
@@ -949,7 +946,7 @@ def _run_trials_impl(fn, n_trials, *, seed, n_workers, chunk_size, args,
     with _payload_installed(shared):
         if chunk_size == "auto":
             ipc = None
-            if not hardened and reuse_pool and n_workers > 1 and n_trials > 1:
+            if not hardened and n_workers > 1 and n_trials > 1:
                 ipc = _measured_ipc(n_workers, shared)
             chunk_size = autotune_chunk_size(
                 fn, n_trials, seed=seed, n_workers=n_workers, args=args,
@@ -985,42 +982,21 @@ def _run_trials_impl(fn, n_trials, *, seed, n_workers, chunk_size, args,
             spans = _chunk_spans(n_trials, chunk_size)
             workers = min(n_workers, len(spans))
             spec = worker_spec()
-            if reuse_pool:
-                pool = persistent_pool(workers, shared=shared)
-                try:
-                    futures = [
-                        pool.submit(_run_trial_chunk, fn, seed, n_trials,
-                                    start, stop, args, spec, batch_fn,
-                                    trial_source, reduce_fn, reduce_init)
-                        for start, stop in spans
-                    ]
-                    return _consume_futures(futures, spans, reduce_fn,
-                                            reduce_init, merge_fn)
-                except BrokenProcessPool:
-                    # A dead worker poisons the pool for every later call:
-                    # evict it so the next run starts fresh, then re-raise.
-                    _discard_pool(pool)
-                    raise
-            descriptor = pack_payload(shared) if shared is not None else None
-            token = descriptor if descriptor is not None else shared
-            init = (_init_worker, (token,)) if shared is not None else (None, ())
-            metrics().counter("runtime.pool_spawned").inc()
+            pool = persistent_pool(workers, shared=shared)
             try:
-                with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=_mp_context(),
-                    initializer=init[0], initargs=init[1],
-                ) as pool:
-                    futures = [
-                        pool.submit(_run_trial_chunk, fn, seed, n_trials,
-                                    start, stop, args, spec, batch_fn,
-                                    trial_source, reduce_fn, reduce_init)
-                        for start, stop in spans
-                    ]
-                    return _consume_futures(futures, spans, reduce_fn,
-                                            reduce_init, merge_fn)
-            finally:
-                if descriptor is not None:
-                    descriptor.release()
+                futures = [
+                    pool.submit(_run_trial_chunk, fn, seed, n_trials,
+                                start, stop, args, spec, batch_fn,
+                                trial_source, reduce_fn, reduce_init)
+                    for start, stop in spans
+                ]
+                return _consume_futures(futures, spans, reduce_fn,
+                                        reduce_init, merge_fn)
+            except BrokenProcessPool:
+                # A dead worker poisons the pool for every later call:
+                # evict it so the next run starts fresh, then re-raise.
+                _discard_pool(pool)
+                raise
 
         outcome = _run_trials_hardened(
             fn, n_trials, seed, n_workers, chunk_size, args,
@@ -1042,14 +1018,13 @@ def parallel_map(
     *,
     n_workers: int | None = None,
     chunk_size: int | None = None,
-    reuse_pool: bool = True,
     shared=None,
 ) -> list:
     """Order-preserving parallel ``map`` over picklable ``items``.
 
     Serial (no pool) when ``n_workers`` resolves to 1 or there is at most
     one item; otherwise a chunked ``ProcessPoolExecutor.map`` on a
-    persistent pool (``reuse_pool=False`` for a disposable one). Items
+    persistent pool. Items
     should be deterministic units of work (carry their own seeds) so that
     serial and parallel runs agree. ``shared=`` ships one read-only
     payload to every worker exactly as in :func:`run_trials` — array
@@ -1078,27 +1053,13 @@ def parallel_map(
     spec = worker_spec()
     mapper = fn if spec is None else _ObservedItem(fn, spec)
     payload = items if spec is None else list(enumerate(items))
-    if reuse_pool:
-        pool = persistent_pool(workers, shared=shared)
-        try:
+    pool = persistent_pool(workers, shared=shared)
+    try:
+        with profile_paused("trials.wait"):
             out = list(pool.map(mapper, payload, chunksize=chunk_size))
-        except BrokenProcessPool:
-            _discard_pool(pool)
-            raise
-    else:
-        descriptor = pack_payload(shared) if shared is not None else None
-        token = descriptor if descriptor is not None else shared
-        init = (_init_worker, (token,)) if shared is not None else (None, ())
-        metrics().counter("runtime.pool_spawned").inc()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_mp_context(),
-                initializer=init[0], initargs=init[1],
-            ) as pool:
-                out = list(pool.map(mapper, payload, chunksize=chunk_size))
-        finally:
-            if descriptor is not None:
-                descriptor.release()
+    except BrokenProcessPool:
+        _discard_pool(pool)
+        raise
     if spec is None:
         return out
     # pool.map preserves item order, so ingesting sequentially keeps the

@@ -91,9 +91,10 @@ class TestErrorsAndRetries:
             def __init__(self):
                 self.calls = 0
 
-            def draw_subframe(self, rng, start, n, rte):
+            def subframe_success_probability(self, start, n, rte):
                 self.calls += 1
-                return self.calls != 1  # only the very first subframe fails
+                # Only the very first subframe fails: no uniform is < 0.
+                return 0.0 if self.calls == 1 else 1.0
 
         sim = _sim(CarpoolProtocol, arrivals, error_model=FailFirstModel())
         summary = sim.run(1.0)

@@ -8,8 +8,9 @@ the slot-by-slot engine produced it, so any rewrite of the contention
 loop must reproduce that engine's trajectories exactly, not just its
 averages.
 
-The parity suite (``test_engine_batch_parity.py``) compares two error-draw
-paths inside one engine; this file compares the engine with its own past.
+This file is also the oracle for the subframe error draws: the engine
+has one draw path (:class:`~repro.mac.error_model.SubframeDraws`), and a
+change in how it consumes the ``errors`` stream moves these digests.
 
 Cases: every protocol x seeds {1, 7, 42} over six families (a 2-AP VoIP
 cell and a CBR cell with background load, each with and without a mixed

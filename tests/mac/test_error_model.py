@@ -1,8 +1,28 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.mac.error_model import BerCurveErrorModel, FixedFerModel, fit_ber_curve
+from repro.mac.error_model import (
+    DRAW_BLOCK,
+    BerCurveErrorModel,
+    FixedFerModel,
+    SubframeDraws,
+    fit_ber_curve,
+)
 from repro.util.rng import RngStream
+
+
+def _subframes(geometry):
+    """Stand-in subframes for ``(start_symbol, n_symbols, rte)`` triples."""
+    return [SimpleNamespace(start_symbol=s, n_symbols=n, rte=f)
+            for s, n, f in geometry]
+
+
+def _draw(model, seed, geometry):
+    """One transmission's outcomes through the engine's draw helper."""
+    return SubframeDraws(model, RngStream(seed).child("e")).draw_subframes(
+        _subframes(geometry))
 
 
 class TestBerCurve:
@@ -42,7 +62,8 @@ class TestBerCurve:
         model = BerCurveErrorModel(base_symbol_error=5e-3)
         rng = RngStream(0).child("e")
         p = model.subframe_success_probability(0, 50, rte=False)
-        draws = [model.draw_subframe(rng, 0, 50, rte=False) for _ in range(3000)]
+        draws = SubframeDraws(model, rng).draw_subframes(
+            _subframes([(0, 50, False)] * 3000))
         assert np.mean(draws) == pytest.approx(p, abs=0.03)
 
     def test_invalid_params(self):
@@ -55,7 +76,8 @@ class TestBerCurve:
 
 
 class TestFastPaths:
-    """The vectorised paths must agree with the scalar originals."""
+    """The memo and the block-buffered draws must match the plain
+    computations they stand in for."""
 
     def test_scalar_memo_returns_exact_original_float(self):
         model = BerCurveErrorModel()
@@ -65,19 +87,6 @@ class TestFastPaths:
             # Second lookup serves the memo — still the identical float.
             assert model.subframe_success_probability(start, n, rte) == exact
 
-    def test_array_path_matches_scalar_to_machine_precision(self):
-        model = BerCurveErrorModel(base_symbol_error=1e-3, bias_growth=0.2)
-        rng = np.random.default_rng(0)
-        starts = rng.integers(0, 900, size=200)
-        lengths = rng.integers(1, 120, size=200)
-        for rte in (False, True):
-            vectorised = model.subframe_success_probability(starts, lengths, rte)
-            scalar = np.array([
-                model.subframe_success_probability(int(s), int(n), rte)
-                for s, n in zip(starts, lengths)
-            ])
-            np.testing.assert_allclose(vectorised, scalar, rtol=1e-12, atol=0)
-
     def test_array_symbol_error_matches_scalar(self):
         model = BerCurveErrorModel(base_symbol_error=1e-3, bias_growth=0.3)
         indices = np.arange(0, 1200, 7)
@@ -86,53 +95,42 @@ class TestFastPaths:
             scalar = np.array([model.symbol_error(int(i), rte) for i in indices])
             np.testing.assert_array_equal(vectorised, scalar)
 
-    def test_array_path_rejects_empty_subframes(self):
-        model = BerCurveErrorModel()
-        with pytest.raises(ValueError):
-            model.subframe_success_probability(
-                np.array([0, 5]), np.array([3, 0]), rte=False
-            )
-
     def test_draw_subframes_bit_identical_to_sequential_draws(self):
+        """Transmissions of 1000, 30 and 1 subframes cross a block refill;
+        every outcome equals one scalar ``uniform() < p`` per subframe."""
         model = BerCurveErrorModel(base_symbol_error=5e-3, bias_growth=0.4)
-        starts = [0, 10, 10, 250, 800]
-        lengths = [10, 113, 113, 40, 113]
-        flags = [False, False, True, False, True]
-        batched = model.draw_subframes(
-            RngStream(77).child("e"), starts, lengths, flags
-        )
-        sequential_rng = RngStream(77).child("e")
-        sequential = [
-            model.draw_subframe(sequential_rng, s, n, f)
-            for s, n, f in zip(starts, lengths, flags)
+        gen = np.random.default_rng(5)
+        transmissions = [
+            [(int(gen.integers(0, 900)), int(gen.integers(1, 120)),
+              bool(gen.integers(0, 2))) for _ in range(size)]
+            for size in (1000, 30, 1)
         ]
-        assert list(batched) == sequential
-
-    def test_draw_subframes_scalar_rte_broadcasts(self):
-        model = BerCurveErrorModel(base_symbol_error=5e-3)
-        batched = model.draw_subframes(RngStream(3).child("e"),
-                                       [0, 50, 100], [20, 20, 20], False)
-        assert batched.shape == (3,)
+        assert sum(map(len, transmissions)) > DRAW_BLOCK
+        draws = SubframeDraws(model, RngStream(77).child("e"))
+        drawn = [draws.draw_subframes(_subframes(t)) for t in transmissions]
+        reference_rng = RngStream(77).child("e")
+        reference = [
+            [reference_rng.uniform() < model.subframe_success_probability(s, n, f)
+             for s, n, f in t]
+            for t in transmissions
+        ]
+        assert drawn == reference
+        assert any(not ok for t in drawn for ok in t)  # not all-success
 
     def test_fixed_fer_draw_subframes_matches_sequential(self):
         model = FixedFerModel(0.35)
-        batched = model.draw_subframes(RngStream(9).child("e"),
-                                       [0, 1, 2, 3], [5, 5, 5, 5], False)
+        drawn = _draw(model, 9, [(i, 5, False) for i in range(4)])
         rng = RngStream(9).child("e")
-        sequential = [model.draw_subframe(rng, i, 5, False) for i in range(4)]
-        assert list(batched) == sequential
+        sequential = [rng.uniform() < 1.0 - model.fer for _ in range(4)]
+        assert drawn == sequential
 
 
 class TestFixedFer:
     def test_zero_fer_always_succeeds(self):
-        model = FixedFerModel(0.0)
-        rng = RngStream(1).child("e")
-        assert all(model.draw_subframe(rng, 0, 10, False) for _ in range(100))
+        assert all(_draw(FixedFerModel(0.0), 1, [(0, 10, False)] * 100))
 
     def test_certain_failure(self):
-        model = FixedFerModel(1.0)
-        rng = RngStream(2).child("e")
-        assert not any(model.draw_subframe(rng, 0, 10, False) for _ in range(100))
+        assert not any(_draw(FixedFerModel(1.0), 2, [(0, 10, False)] * 100))
 
 
 class TestFit:

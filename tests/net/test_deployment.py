@@ -61,8 +61,7 @@ class TestConfigValidation:
 
 class TestSingleCellParity:
     """The acceptance gate: a 1-AP, coupling-off deployment IS the
-    existing single-cell machinery (same style as
-    tests/mac/test_engine_batch_parity.py — exact equality, no tolerance).
+    existing single-cell machinery — exact equality, no tolerance.
     """
 
     @settings(max_examples=6, deadline=None)

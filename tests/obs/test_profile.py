@@ -18,8 +18,10 @@ from repro.obs.profile import (
     function_layer,
     profile_capture,
     profile_collector,
+    profile_paused,
     profiling_enabled,
 )
+from repro.runtime.trials import run_trials, shutdown_pools
 
 
 @pytest.fixture(autouse=True)
@@ -33,6 +35,11 @@ def _profiling_off():
 
 def _busy(n=2000):
     return sum(i * i for i in range(n))
+
+
+def _sleep_trial(trial_index, rng):
+    time.sleep(0.05)
+    return trial_index
 
 
 class TestFunctionLayer:
@@ -157,3 +164,33 @@ class TestStageCapture:
         rows = section["top_functions"]
         assert rows and {"function", "ncalls", "tottime", "cumtime"} \
             <= set(rows[0])
+
+
+class TestPausedWait:
+    def test_disabled_pause_is_shared_noop(self):
+        assert profile_paused("trials.wait") is _NULL_CAPTURE
+
+    def test_pause_without_live_profiler_records_stage(self):
+        collector = enable_profiling()
+        with profile_paused("trials.wait"):
+            time.sleep(0.01)
+        assert collector.stages["trials.wait"]["count"] == 1
+        assert not collector.functions
+
+    def test_parent_wait_is_not_profiled_lock_time(self):
+        """A parent blocked on sleeping workers books the wait as a
+        ``trials.wait`` stage, not as a lock ``acquire`` row."""
+        shutdown_pools()
+        collector = enable_profiling()
+        try:
+            with profile_capture("outer"):
+                results = run_trials(_sleep_trial, 8, seed=0, n_workers=2,
+                                     chunk_size=1)
+        finally:
+            shutdown_pools()
+        assert results == list(range(8))
+        wall = collector.stages["outer"]["wall_s"]
+        assert collector.stages["trials.wait"]["wall_s"] > 0.5 * wall
+        acquire = [d["tottime"] for key, d in collector.functions.items()
+                   if "acquire" in key]
+        assert all(t <= 0.05 * wall for t in acquire), acquire

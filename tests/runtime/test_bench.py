@@ -72,15 +72,10 @@ _VALID_MAC = {
         "smoke": True,
         "n_workers": 1,
     },
-    "engine": {
-        "stations": 4, "duration": 0.4, "runs": 2, "scalar_seconds": 1.0,
-        "batched_seconds": 0.8, "speedup_batched": 1.25,
-        "identical_metrics": True,
-    },
     "sweep": {
         "receivers": [2, 4], "payloads": [256, 1024], "points": 4,
-        "trials": 1, "scalar_uncached_seconds": 10.0,
-        "batched_cached_seconds": 1.0, "speedup": 10.0,
+        "trials": 1, "uncached_seconds": 10.0,
+        "cached_seconds": 1.0, "speedup": 10.0,
         "identical_results": True,
     },
     "trials_pool": {
@@ -179,12 +174,6 @@ class TestValidateBench:
         with pytest.raises(ValueError, match="identical_serial_parallel"):
             validate_bench(broken)
 
-    def test_rejects_batched_scalar_divergence(self):
-        broken = copy.deepcopy(_VALID_MAC)
-        broken["engine"]["identical_metrics"] = False
-        with pytest.raises(ValueError, match="identical_metrics"):
-            validate_bench(broken)
-
     def test_rejects_sweep_divergence(self):
         broken = copy.deepcopy(_VALID_MAC)
         broken["sweep"]["identical_results"] = False
@@ -228,7 +217,7 @@ class TestCompareBench:
         # Absolute seconds are results but not throughput metrics: a
         # slower wall clock with the same throughput keys does not flag.
         current = copy.deepcopy(_VALID_MAC)
-        current["sweep"]["scalar_uncached_seconds"] *= 100
+        current["sweep"]["uncached_seconds"] *= 100
         assert compare_bench(current, _VALID_MAC) == []
 
     def test_mismatched_workloads_are_skipped(self):
@@ -244,10 +233,10 @@ class TestCompareBench:
     def test_same_workload_drop_still_flags_other_sections(self):
         current = copy.deepcopy(_VALID_MAC)
         current["sweep"]["points"] = 16  # sweep skipped...
-        current["engine"]["speedup_batched"] = 0.1  # ...engine still gated
+        current["trials_pool"]["parallel_trials_per_s"] = 0.1  # ...pool gated
         messages = compare_bench(current, _VALID_MAC)
         assert len(messages) == 1
-        assert "engine.speedup_batched" in messages[0]
+        assert "trials_pool.parallel_trials_per_s" in messages[0]
 
     def test_missing_sections_in_current_are_skipped(self):
         current = {"meta": _VALID_MAC["meta"], "sweep": _VALID_MAC["sweep"]}
@@ -527,7 +516,7 @@ def test_mac_smoke_bench_emits_valid_json(tmp_path):
     on_disk = json.loads(out.read_text())
     assert validate_bench(on_disk) == on_disk
     assert payload["meta"]["suite"] == "mac"
-    assert payload["engine"]["identical_metrics"] is True
+    assert "engine" not in payload
     assert payload["sweep"]["identical_results"] is True
     assert payload["sweep"]["speedup"] > 1.0
     assert payload["trials_pool"]["identical_serial_parallel"] is True

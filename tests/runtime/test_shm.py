@@ -134,12 +134,6 @@ class TestSegmentLifecycle:
         shutdown_pools()
         assert _segments() - before == set()
 
-    def test_disposable_pool_releases_segment(self):
-        before = _segments()
-        run_trials(_lookup_trial, 4, seed=1, n_workers=2, args=(1.0,),
-                   shared=_big_payload(), reuse_pool=False)
-        assert _segments() - before == set()
-
     def test_hardened_retry_releases_segments(self):
         before = _segments()
         outcome = run_trials(_boom_trial, 4, seed=1, n_workers=2,

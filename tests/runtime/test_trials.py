@@ -104,25 +104,9 @@ class TestPersistentPools:
         assert first & second
         shutdown_pools()
 
-    def test_reuse_pool_false_uses_fresh_workers(self):
-        shutdown_pools()
-        first = set(run_trials(_worker_pid, 4, seed=0, n_workers=2,
-                               reuse_pool=False))
-        second = set(run_trials(_worker_pid, 4, seed=0, n_workers=2,
-                                reuse_pool=False))
-        assert first.isdisjoint(second)
-
     def test_persistent_pool_identity(self):
         shutdown_pools()
         assert persistent_pool(2) is persistent_pool(2)
-        shutdown_pools()
-
-    def test_results_identical_with_and_without_reuse(self):
-        shutdown_pools()
-        reused = run_trials(_toy_trial, 13, seed=3, n_workers=2, args=(1.0,))
-        disposable = run_trials(_toy_trial, 13, seed=3, n_workers=2,
-                                args=(1.0,), reuse_pool=False)
-        assert reused == disposable
         shutdown_pools()
 
     def test_shared_payload_reaches_workers(self):
